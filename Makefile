@@ -51,14 +51,16 @@ fuzz:
 
 # The allocation gate: the binary codec's hot paths (AppendMessage into a
 # warm buffer, DecodeWire into a reused value, Size of a binary payload)
-# must stay at zero allocations — the regression fence behind the wire
-# bench's steady-state numbers. Runs without the race detector: the race
-# runtime adds its own allocations.
+# must stay at zero allocations, and one message over a warm loopback
+# wire lane (Send to delivery) must stay within its pinned count — the
+# regression fences behind the wire bench's steady-state numbers. Runs
+# without the race detector: the race runtime adds its own allocations.
 alloc:
 	$(GO) test -run 'ZeroAllocs' -count=1 ./internal/codec/
+	$(GO) test -run '^TestSendAllocsPerMessage$$' -count=1 ./internal/wire/
 
 # The wire benchmark: codec and transport tiers at 4/16/64 loopback
-# nodes, binary versus gob versus binary+batching; writes BENCH_wire.json.
+# nodes, binary versus gob; writes BENCH_wire.json.
 # The scale benchmark: gossip versus complete-graph fanout at 136/256/512
 # simulated nodes plus 64/128 loopback gossip engines; writes
 # BENCH_scale.json. The detect benchmark: false-positive rate and

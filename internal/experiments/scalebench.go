@@ -276,8 +276,7 @@ func scaleLoopback(nodes, fanout int) (ScaleLoopbackRow, error) {
 	for i := range peers {
 		tr, err := wire.New(types.NodeID(i), nil,
 			wire.WithMetrics(metrics.NewRegistry()), wire.WithPlanes(1),
-			wire.WithWindow(8), wire.WithAckDelay(5*time.Millisecond),
-			wire.WithBatchWindow(2*time.Millisecond))
+			wire.WithWindow(8))
 		if err != nil {
 			return row, err
 		}

@@ -18,8 +18,8 @@ import (
 	"repro/internal/wire"
 )
 
-// The wire benchmark measures what the binary codec and frame batching
-// bought over the gob baseline, in two tiers:
+// The wire benchmark measures what the binary codec bought over the gob
+// baseline, in two tiers:
 //
 //   - codec tier: encode+decode round trips of a heartbeat-sized message
 //     in a tight loop, binary versus gob, with steady-state allocation
@@ -28,7 +28,7 @@ import (
 //   - transport tier: real loopback UDP clusters of 4/16/64 nodes, every
 //     node streaming heartbeats at node 0, measuring delivered msgs/sec,
 //     one-way p50/p99 latency, and process-wide allocations per message —
-//     binary, gob, and binary with a batch window.
+//     binary versus gob.
 //
 // phoenix-bench -exp wire renders the table and writes BENCH_wire.json so
 // the numbers are pinned per PR.
@@ -47,15 +47,14 @@ type CodecRow struct {
 // TransportRow is one transport-tier measurement: a cluster of Nodes
 // transports on loopback UDP, all streaming heartbeats to node 0.
 type TransportRow struct {
-	Nodes         int     `json:"nodes"`
-	Codec         string  `json:"codec"`
-	BatchWindowMs float64 `json:"batch_window_ms"`
-	Msgs          int     `json:"msgs"`
-	MsgsPerSec    float64 `json:"msgs_per_sec"`
-	P50Us         float64 `json:"p50_us"`
-	P99Us         float64 `json:"p99_us"`
-	AllocsPerMsg  float64 `json:"allocs_per_msg"`
-	Datagrams     uint64  `json:"datagrams"`
+	Nodes        int     `json:"nodes"`
+	Codec        string  `json:"codec"`
+	Msgs         int     `json:"msgs"`
+	MsgsPerSec   float64 `json:"msgs_per_sec"`
+	P50Us        float64 `json:"p50_us"`
+	P99Us        float64 `json:"p99_us"`
+	AllocsPerMsg float64 `json:"allocs_per_msg"`
+	Datagrams    uint64  `json:"datagrams"`
 }
 
 // WireBench is the full report, serialised as BENCH_wire.json.
@@ -100,20 +99,11 @@ func RunWireBench(quick bool) (*WireBench, error) {
 		msgsPerNode = 100
 	}
 	for _, nodes := range []int{4, 16, 64} {
-		for _, v := range []struct {
-			codec string
-			gob   bool
-			batch time.Duration
-		}{
-			{"binary", false, 0},
-			{"gob", true, 0},
-			{"binary+batch", false, 2 * time.Millisecond},
-		} {
-			row, err := transportTier(nodes, msgsPerNode, v.gob, v.batch)
+		for _, useGob := range []bool{false, true} {
+			row, err := transportTier(nodes, msgsPerNode, useGob)
 			if err != nil {
-				return nil, fmt.Errorf("wire bench %d nodes %s: %w", nodes, v.codec, err)
+				return nil, fmt.Errorf("wire bench %d nodes %s: %w", nodes, row.Codec, err)
 			}
-			row.Codec = v.codec
 			b.Transport = append(b.Transport, row)
 		}
 	}
@@ -189,34 +179,34 @@ func codecTier(useGob bool) CodecRow {
 // transportTier boots nodes loopback transports sharing one address book,
 // streams msgsPerNode heartbeats from every non-zero node to node 0, and
 // measures delivery throughput and one-way latency at the receiver.
-func transportTier(nodes, msgsPerNode int, useGob bool, batch time.Duration) (TransportRow, error) {
+func transportTier(nodes, msgsPerNode int, useGob bool) (TransportRow, error) {
+	row := TransportRow{Nodes: nodes, Codec: "binary", Msgs: (nodes - 1) * msgsPerNode}
+	if useGob {
+		row.Codec = "gob"
+	}
 	codec.ForceGob(useGob)
 	defer codec.ForceGob(false)
 
-	// A small per-lane window self-clocks every sender off node 0's acks:
-	// with the default 64-frame window, 63 senders burst ~4000 frames at
-	// one socket, overflow its receive buffer, and the loss storm
-	// exhausts retransmission budgets. 8 in flight per lane keeps the
-	// worst-case burst around 500 frames, which loopback absorbs.
-	opts := []wire.Option{
-		wire.WithPlanes(1), wire.WithWindow(8), wire.WithAckDelay(5 * time.Millisecond),
-	}
-	if batch > 0 {
-		opts = append(opts, wire.WithBatchWindow(batch))
-	}
+	// A small per-lane window keeps the fan-in inside node 0's socket
+	// receive buffer, which holds about 256 heartbeat datagrams at Linux's
+	// default 208 KiB rmem. At the default 64-frame window, 15 senders can
+	// have 960 frames in flight at node 0: the socket drops the overflow
+	// (UDP RcvbufErrors) and repairing it by retransmission cuts 16-node
+	// throughput by 10-25x. 8 in flight per lane fits 4 and 16 nodes.
+	opts := []wire.Option{wire.WithPlanes(1), wire.WithWindow(8)}
 	book := wire.NewBook()
 	trs := make([]*wire.Transport, nodes)
 	for i := range trs {
 		tr, err := wire.New(types.NodeID(i), nil,
 			append([]wire.Option{wire.WithMetrics(metrics.NewRegistry())}, opts...)...)
 		if err != nil {
-			return TransportRow{}, err
+			return row, err
 		}
 		defer tr.Close()
 		trs[i] = tr
 		for p, ep := range tr.Endpoints() {
 			if err := book.Add(tr.Node(), p, ep); err != nil {
-				return TransportRow{}, err
+				return row, err
 			}
 		}
 	}
@@ -224,7 +214,7 @@ func transportTier(nodes, msgsPerNode int, useGob bool, batch time.Duration) (Tr
 		tr.SetBook(book)
 	}
 
-	total := (nodes - 1) * msgsPerNode
+	total := row.Msgs
 	lats := make([]time.Duration, total)
 	var received atomic.Int64
 	done := make(chan struct{})
@@ -262,7 +252,7 @@ func transportTier(nodes, msgsPerNode int, useGob bool, batch time.Duration) (Tr
 	select {
 	case <-done:
 	case <-time.After(60 * time.Second):
-		return TransportRow{}, fmt.Errorf("only %d/%d messages delivered within 60s", received.Load(), total)
+		return row, fmt.Errorf("only %d/%d messages delivered within 60s", received.Load(), total)
 	}
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&m1)
@@ -276,15 +266,11 @@ func transportTier(nodes, msgsPerNode int, useGob bool, batch time.Duration) (Tr
 		idx := int(p * float64(len(lats)-1))
 		return float64(lats[idx].Nanoseconds()) / 1e3
 	}
-	return TransportRow{
-		Nodes: nodes, BatchWindowMs: float64(batch) / float64(time.Millisecond),
-		Msgs:         total,
-		MsgsPerSec:   float64(total) / elapsed.Seconds(),
-		P50Us:        pct(0.50),
-		P99Us:        pct(0.99),
-		AllocsPerMsg: float64(m1.Mallocs-m0.Mallocs) / float64(total),
-		Datagrams:    datagrams,
-	}, nil
+	row.MsgsPerSec = float64(total) / elapsed.Seconds()
+	row.P50Us, row.P99Us = pct(0.50), pct(0.99)
+	row.AllocsPerMsg = float64(m1.Mallocs-m0.Mallocs) / float64(total)
+	row.Datagrams = datagrams
+	return row, nil
 }
 
 // Render tabulates both tiers in the bench's usual fixed-width style.
@@ -301,11 +287,11 @@ func (b *WireBench) Render() string {
 	fmt.Fprintf(&sb, "  binary is %.1fx gob msgs/sec\n\n", b.SpeedupBinaryVsGob)
 
 	sb.WriteString("Wire transport (loopback UDP, all nodes streaming heartbeats to node 0)\n")
-	fmt.Fprintf(&sb, "  %-6s %-13s %8s %7s %12s %10s %10s %11s %10s\n",
-		"nodes", "codec", "batch ms", "msgs", "msgs/sec", "p50 us", "p99 us", "allocs/msg", "datagrams")
+	fmt.Fprintf(&sb, "  %-6s %-8s %7s %12s %10s %10s %11s %10s\n",
+		"nodes", "codec", "msgs", "msgs/sec", "p50 us", "p99 us", "allocs/msg", "datagrams")
 	for _, r := range b.Transport {
-		fmt.Fprintf(&sb, "  %-6d %-13s %8.0f %7d %12.0f %10.0f %10.0f %11.1f %10d\n",
-			r.Nodes, r.Codec, r.BatchWindowMs, r.Msgs, r.MsgsPerSec,
+		fmt.Fprintf(&sb, "  %-6d %-8s %7d %12.0f %10.0f %10.0f %11.1f %10d\n",
+			r.Nodes, r.Codec, r.Msgs, r.MsgsPerSec,
 			r.P50Us, r.P99Us, r.AllocsPerMsg, r.Datagrams)
 	}
 	return sb.String()

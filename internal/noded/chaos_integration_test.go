@@ -245,7 +245,6 @@ func TestPlaneDownFailoverKeepsClusterAlive(t *testing.T) {
 			wire.WithOutboundFilter(inj.Outbound()),
 			wire.WithInboundFilter(inj.Inbound()),
 			wire.WithRetransmit(60*time.Millisecond, 4),
-			wire.WithAckDelay(10 * time.Millisecond),
 		}
 	})
 	nodes := make([]*noded.Node, len(transports))

@@ -132,7 +132,6 @@ func TestResilientRPCSurvivesChaos(t *testing.T) {
 			wire.WithOutboundFilter(inj.Outbound()),
 			wire.WithInboundFilter(inj.Inbound()),
 			wire.WithRetransmit(60*time.Millisecond, 4),
-			wire.WithAckDelay(10 * time.Millisecond),
 		}
 	})
 	nodes := make([]*noded.Node, len(transports))

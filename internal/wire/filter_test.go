@@ -54,7 +54,7 @@ func ping(i int) types.Message {
 func TestFiltersSeeEveryFrameExactlyOnce(t *testing.T) {
 	out, in := newFrameCounter(), newFrameCounter()
 	a, b := pair(t, 1,
-		WithRetransmit(2*time.Second, 4), WithAckDelay(20*time.Millisecond),
+		WithRetransmit(2*time.Second, 4),
 		WithOutboundFilter(func(peer types.NodeID, plane int, data []byte, transmit func()) {
 			out.note(data)
 			transmit()
@@ -100,7 +100,7 @@ func TestInboundDropForcesRetransmit(t *testing.T) {
 	var mu sync.Mutex
 	dropped := make(map[uint32]bool)
 	a, b := pair(t, 1,
-		WithRetransmit(20*time.Millisecond, 8), WithAckDelay(5*time.Millisecond),
+		WithRetransmit(20*time.Millisecond, 8),
 		WithInboundFilter(func(peer types.NodeID, plane int, data []byte, deliver func()) {
 			f, err := parseFrame(data)
 			if err == nil && f.isData() {
@@ -130,7 +130,7 @@ func TestInboundDropForcesRetransmit(t *testing.T) {
 // once and the duplicate dies in dup suppression, not in the handler.
 func TestInboundDuplicateDeliveredOnce(t *testing.T) {
 	a, b := pair(t, 1,
-		WithRetransmit(2*time.Second, 4), WithAckDelay(20*time.Millisecond),
+		WithRetransmit(2*time.Second, 4),
 		WithInboundFilter(func(peer types.NodeID, plane int, data []byte, deliver func()) {
 			deliver()
 			deliver()
@@ -164,7 +164,7 @@ func TestLaneHealthFailover(t *testing.T) {
 	var plane0Dead atomic.Bool
 	faults := make(chan int, 16)
 	a, b := pair(t, 2,
-		WithRetransmit(10*time.Millisecond, 3), WithAckDelay(2*time.Millisecond),
+		WithRetransmit(10*time.Millisecond, 3),
 		WithOutboundFilter(func(peer types.NodeID, plane int, data []byte, transmit func()) {
 			if plane == 0 && plane0Dead.Load() {
 				return
@@ -243,7 +243,7 @@ func TestLaneHealthFailover(t *testing.T) {
 func TestProbeChainHealsIdleLane(t *testing.T) {
 	var plane0Dead atomic.Bool
 	a, b := pair(t, 2,
-		WithRetransmit(10*time.Millisecond, 3), WithAckDelay(2*time.Millisecond),
+		WithRetransmit(10*time.Millisecond, 3),
 		WithOutboundFilter(func(peer types.NodeID, plane int, data []byte, transmit func()) {
 			if plane == 0 && plane0Dead.Load() {
 				return

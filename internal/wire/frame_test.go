@@ -9,7 +9,7 @@ import (
 	"repro/internal/types"
 )
 
-// validDataFrame builds one unfragmented v2 data frame around a real gob
+// validDataFrame builds one unfragmented data frame around a real codec
 // body.
 func validDataFrame(t testing.TB) []byte {
 	msg := types.Message{
@@ -24,7 +24,7 @@ func validDataFrame(t testing.TB) []byte {
 	}
 	return encodeFrame(frame{
 		plane: 1, flags: flagData | flagAck, src: 0,
-		seq: 7, ack: 3, ackBits: 0x5, fragCount: 1, payload: body,
+		seq: 7, base: 5, ack: 3, ackBits: 0x5, fragCount: 1, payload: body,
 	})
 }
 
@@ -35,7 +35,7 @@ func validAckFrame() []byte {
 func validFragFrame(t testing.TB) []byte {
 	return encodeFrame(frame{
 		plane: 0, flags: flagData | flagFrag, src: 1,
-		seq: 10, fragIndex: 1, fragCount: 3, payload: []byte("part"),
+		seq: 10, base: 9, fragIndex: 1, fragCount: 3, payload: []byte("part"),
 	})
 }
 
@@ -44,7 +44,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.isData() || !f.hasAck() || f.seq != 7 || f.ack != 3 || f.ackBits != 0x5 || f.src != 0 || f.plane != 1 {
+	if !f.isData() || !f.hasAck() || f.seq != 7 || f.base != 5 || f.ack != 3 || f.ackBits != 0x5 || f.src != 0 || f.plane != 1 {
 		t.Fatalf("round trip mangled header: %+v", f)
 	}
 	msg, err := decodeBody(f.payload)
@@ -75,18 +75,43 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrameRejectsV1 pins the version bump: a v1 frame (the PR 1 format —
-// magic, version byte 1, plane, 4-byte length, gob body) is rejected with
-// a version error, not misparsed.
+// TestFrameRejectsV1 pins the version bumps: a v1 frame (magic, version
+// byte 1, plane, 4-byte length, gob body) and a v3 frame (the 32-byte
+// header without a window base) are rejected with a version error, not
+// misparsed.
 func TestFrameRejectsV1(t *testing.T) {
 	body := []byte("old gob body")
 	v1 := make([]byte, 8+len(body))
 	v1[0], v1[1], v1[2], v1[3] = 'P', 'X', 1, 0
 	binary.BigEndian.PutUint32(v1[4:8], uint32(len(body)))
 	copy(v1[8:], body)
-	_, err := parseFrame(v1)
-	if err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("v1 frame: got %v, want version error", err)
+
+	v3 := make([]byte, 32+len(body))
+	v3[0], v3[1], v3[2], v3[4] = 'P', 'X', 3, flagData
+	binary.BigEndian.PutUint32(v3[12:16], 1) // seq
+	binary.BigEndian.PutUint16(v3[26:28], 1) // fragment count
+	binary.BigEndian.PutUint32(v3[28:32], uint32(len(body)))
+	copy(v3[32:], body)
+
+	for name, data := range map[string][]byte{"v1": v1, "v3": v3} {
+		_, err := parseFrame(data)
+		if err == nil || !strings.Contains(err.Error(), "version") {
+			t.Errorf("%s frame: got %v, want version error", name, err)
+		}
+	}
+}
+
+// TestMultiFrameDatagram pins the v4 datagram contract: one frame per
+// datagram. Two frames back to back — the v3 batching layout — are
+// rejected whole, so nothing can ride in behind a valid frame.
+func TestMultiFrameDatagram(t *testing.T) {
+	one := encodeFrame(frame{plane: 0, flags: flagData, src: 1, seq: 5, base: 5, fragCount: 1, payload: []byte("first")})
+	if _, err := parseFrame(one); err != nil {
+		t.Fatal(err)
+	}
+	two := appendFrame(one, frame{plane: 0, flags: flagAck, src: 1, ack: 9, ackBits: 0x3})
+	if _, err := parseFrame(two); err == nil {
+		t.Fatal("two-frame datagram accepted")
 	}
 }
 
@@ -109,20 +134,25 @@ func TestFrameRejectsMalformed(t *testing.T) {
 		"header only":    valid[:headerSize],
 		"zero seq data": encodeFrame(frame{
 			flags: flagData, seq: 0, fragCount: 1, payload: []byte("x")}),
+		"zero base data": encodeFrame(frame{
+			flags: flagData, seq: 4, fragCount: 1, payload: []byte("x")}),
+		"base above seq": encodeFrame(frame{
+			flags: flagData, seq: 4, base: 5, fragCount: 1, payload: []byte("x")}),
 		"empty data": encodeFrame(frame{
-			flags: flagData, seq: 1, fragCount: 1}),
+			flags: flagData, seq: 1, base: 1, fragCount: 1}),
+		"ack with base":  encodeFrame(frame{flags: flagAck, base: 1, ack: 1}),
 		"no data no ack": encodeFrame(frame{seq: 0}),
-		"ack with body": append(validAckFrame(), 'x'),
+		"ack with body":  append(validAckFrame(), 'x'),
 		"frag index beyond count": encodeFrame(frame{
-			flags: flagData | flagFrag, seq: 9, fragIndex: 3, fragCount: 3, payload: []byte("x")}),
+			flags: flagData | flagFrag, seq: 9, base: 9, fragIndex: 3, fragCount: 3, payload: []byte("x")}),
 		"frag count 1": encodeFrame(frame{
-			flags: flagData | flagFrag, seq: 9, fragIndex: 0, fragCount: 1, payload: []byte("x")}),
+			flags: flagData | flagFrag, seq: 9, base: 9, fragIndex: 0, fragCount: 1, payload: []byte("x")}),
 		"frag count over limit": encodeFrame(frame{
-			flags: flagData | flagFrag, seq: 60000, fragIndex: 0, fragCount: 50000, payload: []byte("x")}),
+			flags: flagData | flagFrag, seq: 60000, base: 60000, fragIndex: 0, fragCount: 50000, payload: []byte("x")}),
 		"frag index beyond seq": encodeFrame(frame{
-			flags: flagData | flagFrag, seq: 2, fragIndex: 2, fragCount: 4, payload: []byte("x")}),
+			flags: flagData | flagFrag, seq: 2, base: 1, fragIndex: 2, fragCount: 4, payload: []byte("x")}),
 		"unfragmented with frag fields": encodeFrame(frame{
-			flags: flagData, seq: 5, fragIndex: 1, fragCount: 2, payload: []byte("x")}),
+			flags: flagData, seq: 5, base: 5, fragIndex: 1, fragCount: 2, payload: []byte("x")}),
 	}
 	for name, data := range bad {
 		if _, err := parseFrame(data); err == nil {
@@ -140,7 +170,7 @@ func TestFrameRejectsMalformed(t *testing.T) {
 // FuzzDecode asserts the hard invariant of a live node: no datagram,
 // however malformed or adversarial, may panic the transport. parseFrame
 // either returns a frame or an error, and a parsed single-fragment data
-// payload must survive gob decoding without panicking.
+// payload must survive body decoding without panicking.
 func FuzzDecode(f *testing.F) {
 	f.Add(validDataFrame(f))
 	f.Add(validAckFrame())

@@ -24,18 +24,15 @@ var (
 
 // options collects everything New can be configured with.
 type options struct {
-	planes      int // ephemeral mode: bind this many loopback planes
-	loop        *Loop
-	reg         *metrics.Registry
-	mtu         int
-	window      int
-	queueMax    int
-	rto         time.Duration
-	rtoMax      time.Duration
-	retries     int
-	ackDelay    time.Duration
-	batchWindow time.Duration
-	pool        bool
+	planes   int // ephemeral mode: bind this many loopback planes
+	loop     *Loop
+	reg      *metrics.Registry
+	mtu      int
+	window   int
+	queueMax int
+	rto      time.Duration
+	rtoMax   time.Duration
+	retries  int
 
 	onPeerFault func(peer types.NodeID, plane int, err error)
 	filter      OutboundFilter
@@ -87,39 +84,23 @@ func WithMetrics(reg *metrics.Registry) Option { return func(o *options) { o.reg
 func WithMTU(bytes int) Option { return func(o *options) { o.mtu = bytes } }
 
 // WithWindow bounds how many frames may be in flight (sent, unacked) per
-// peer per plane; further frames queue in order. The default is 64.
+// peer per plane: a frame leaves only within that many sequence numbers
+// of the oldest unacked one, and further frames queue in order. The
+// default is 64, the maximum 4096.
 func WithWindow(frames int) Option { return func(o *options) { o.window = frames } }
 
 // WithRetransmit sets the retransmission policy: the base retransmission
 // timeout, and how many retransmissions are attempted before the lane is
 // declared unreachable. The timeout backs off exponentially per attempt,
 // ceilinged at the smaller of 40×rto and 2s. The defaults are 50ms and 10.
+// A receiver acks a lone frame after rto/4, so the timeout also sets how
+// long an ack may wait for return traffic to ride on.
 func WithRetransmit(rto time.Duration, retries int) Option {
 	return func(o *options) {
 		o.rto = rto
 		o.retries = retries
 	}
 }
-
-// WithAckDelay sets how long the receiver waits for return traffic to
-// piggyback an ack before sending one standalone. The default is 20ms; it
-// must stay well below the retransmission timeout.
-func WithAckDelay(d time.Duration) Option { return func(o *options) { o.ackDelay = d } }
-
-// WithBatchWindow turns on per-lane frame coalescing: data frames bound
-// for the same (peer, plane) lane within d of each other leave in one
-// datagram (up to the MTU), and standalone acks ride an open batch
-// instead of paying their own socket write. d = 0 — the default —
-// disables coalescing; every frame leaves in its own datagram. d must
-// stay below the retransmission timeout, or batched frames would be
-// retransmitted before their first transmission leaves the node.
-func WithBatchWindow(d time.Duration) Option { return func(o *options) { o.batchWindow = d } }
-
-// WithBufferPool toggles sync.Pool reuse of frame and datagram buffers
-// (default on). Turning it off makes every buffer a fresh allocation —
-// the escape hatch for debugging suspected buffer-reuse bugs, at the
-// cost of the steady-state allocation rate.
-func WithBufferPool(on bool) Option { return func(o *options) { o.pool = on } }
 
 // WithPeerFaultHandler installs the callback invoked (from a timer
 // goroutine, not the Loop) when a lane exhausts its retransmission budget.
@@ -141,8 +122,6 @@ func buildOptions(opts []Option) (options, error) {
 		queueMax: 1024,
 		rto:      50 * time.Millisecond,
 		retries:  10,
-		ackDelay: 20 * time.Millisecond,
-		pool:     true,
 	}
 	for _, opt := range opts {
 		opt(&o)
@@ -150,17 +129,11 @@ func buildOptions(opts []Option) (options, error) {
 	if o.mtu < headerSize+1 || o.mtu > maxFrameSize {
 		return o, fmt.Errorf("wire: MTU %d out of range (%d..%d)", o.mtu, headerSize+1, maxFrameSize)
 	}
-	if o.window <= 0 {
-		return o, fmt.Errorf("wire: window must be positive, got %d", o.window)
+	if o.window <= 0 || o.window > maxWindow {
+		return o, fmt.Errorf("wire: window %d out of range (1..%d)", o.window, maxWindow)
 	}
 	if o.rto <= 0 || o.retries <= 0 {
 		return o, fmt.Errorf("wire: retransmit policy needs rto > 0 and retries > 0")
-	}
-	if o.ackDelay <= 0 || o.ackDelay >= o.rto {
-		return o, fmt.Errorf("wire: ack delay %v must sit in (0, rto=%v)", o.ackDelay, o.rto)
-	}
-	if o.batchWindow < 0 || o.batchWindow >= o.rto {
-		return o, fmt.Errorf("wire: batch window %v must sit in [0, rto=%v)", o.batchWindow, o.rto)
 	}
 	o.rtoMax = 40 * o.rto
 	if o.rtoMax > 2*time.Second {

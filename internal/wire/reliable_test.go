@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -34,7 +35,7 @@ func dropFirstTransmissions() OutboundFilter {
 }
 
 func TestRetransmitDeliversThroughLoss(t *testing.T) {
-	a, b := pair(t, 1, WithRetransmit(20*time.Millisecond, 8), WithAckDelay(5*time.Millisecond),
+	a, b := pair(t, 1, WithRetransmit(20*time.Millisecond, 8),
 		WithOutboundFilter(dropFirstTransmissions()))
 	got := make(chan types.Message, 1)
 	b.Register(recvAddr(), func(m types.Message) { got <- m })
@@ -114,7 +115,7 @@ func TestPeerFaultAfterRetryExhaustion(t *testing.T) {
 	// must surface a transport-level fault wrapping ErrPeerUnreachable.
 	faults := make(chan error, 4)
 	tr, err := New(0, nil, WithPlanes(1),
-		WithRetransmit(10*time.Millisecond, 3), WithAckDelay(2*time.Millisecond),
+		WithRetransmit(10*time.Millisecond, 3),
 		WithPeerFaultHandler(func(peer types.NodeID, plane int, err error) {
 			if peer != 1 || plane != 0 {
 				t.Errorf("fault on lane (%v, %d), want (node1, 0)", peer, plane)
@@ -156,7 +157,7 @@ func TestPeerFaultAfterRetryExhaustion(t *testing.T) {
 }
 
 func TestFragmentationAtSmallMTU(t *testing.T) {
-	a, b := pair(t, 1, WithMTU(512), WithRetransmit(20*time.Millisecond, 8), WithAckDelay(5*time.Millisecond))
+	a, b := pair(t, 1, WithMTU(512), WithRetransmit(20*time.Millisecond, 8))
 	got := make(chan types.Message, 1)
 	b.Register(recvAddr(), func(m types.Message) { got <- m })
 
@@ -199,7 +200,7 @@ func TestFragmentationAtSmallMTU(t *testing.T) {
 }
 
 func TestWindowStallsAndDrains(t *testing.T) {
-	a, b := pair(t, 1, WithWindow(1), WithRetransmit(20*time.Millisecond, 8), WithAckDelay(5*time.Millisecond))
+	a, b := pair(t, 1, WithWindow(1), WithRetransmit(20*time.Millisecond, 8))
 	got := make(chan types.Message, 64)
 	b.Register(recvAddr(), func(m types.Message) { got <- m })
 
@@ -229,7 +230,7 @@ func TestSendQueueOverflowIsReported(t *testing.T) {
 	// Window 1, tiny queue, peer that never acks: the queue must fill and
 	// further sends must fail fast with ErrPeerUnreachable context.
 	tr, err := New(0, nil, WithPlanes(1), WithWindow(1),
-		WithRetransmit(50*time.Millisecond, 10), WithAckDelay(5*time.Millisecond))
+		WithRetransmit(50*time.Millisecond, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,5 +259,113 @@ func TestSendQueueOverflowIsReported(t *testing.T) {
 	}
 	if tr.Metrics().Counter("wire.tx.drop.overflow").Value() == 0 {
 		t.Error("overflow not counted")
+	}
+}
+
+// held counts the data frames a transport holds unsettled across lanes.
+func held(tr *Transport) int {
+	tr.relMu.Lock()
+	defer tr.relMu.Unlock()
+	n := 0
+	for _, tx := range tr.tx {
+		n += tx.held()
+	}
+	return n
+}
+
+// awaitDrained waits until every frame tr sent has been acked.
+func awaitDrained(t *testing.T, tr *Transport, within time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(within)
+	for held(tr) > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d frames still unacked after %v", held(tr), within)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestBurstAckedWithoutRetransmits sends a one-way burst far longer than
+// the ack's 32 selective bits on default options and lossless loopback:
+// the cumulative ack must settle all of it, with no retransmission, no
+// fault, and nothing left in flight 2×RTO after the last delivery.
+func TestBurstAckedWithoutRetransmits(t *testing.T) {
+	a, b := pair(t, 1)
+	got := make(chan types.Message, 256)
+	b.Register(recvAddr(), func(m types.Message) { got <- m })
+
+	const n = 200
+	for i := 0; i < n; i++ {
+		if err := a.Send(ping(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		await(t, got)
+	}
+	awaitDrained(t, a, 2*a.opt.rto)
+	if v := a.Metrics().Counter("wire.tx.retransmits").Value(); v != 0 {
+		t.Errorf("%v retransmits on a lossless lane", v)
+	}
+	if v := a.Metrics().Counter("wire.tx.peer_faults").Value(); v != 0 {
+		t.Errorf("%v peer faults on a live peer", v)
+	}
+	if v := b.Metrics().Counter("wire.rx.delivered").Value(); v != n {
+		t.Errorf("delivered %v messages, want %d", v, n)
+	}
+}
+
+// TestLaneRecoversAfterFault blackholes a lane's data frames until it
+// faults, heals it and sends 100 more. The frames abandoned by the fault
+// must not wedge the receiver: the window base on the new frames moves it
+// past them, so all 100 arrive with no retransmission and no second fault.
+func TestLaneRecoversAfterFault(t *testing.T) {
+	var blackhole atomic.Bool
+	faults := make(chan error, 4)
+	a, b := pair(t, 1, WithRetransmit(100*time.Millisecond, 3),
+		WithOutboundFilter(func(peer types.NodeID, plane int, data []byte, transmit func()) {
+			if f, err := parseFrame(data); err == nil && f.isData() && blackhole.Load() {
+				return
+			}
+			transmit()
+		}),
+		WithPeerFaultHandler(func(peer types.NodeID, plane int, err error) { faults <- err }))
+	got := make(chan types.Message, 128)
+	b.Register(recvAddr(), func(m types.Message) { got <- m })
+	sendN := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := a.Send(ping(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	sendN(10)
+	for i := 0; i < 10; i++ {
+		await(t, got)
+	}
+	blackhole.Store(true)
+	sendN(5)
+	select {
+	case <-faults:
+	case <-time.After(5 * time.Second):
+		t.Fatal("blackholed lane never faulted")
+	}
+	retx := a.Metrics().Counter("wire.tx.retransmits").Value()
+
+	blackhole.Store(false)
+	sendN(100)
+	for i := 0; i < 100; i++ {
+		await(t, got)
+	}
+	awaitDrained(t, a, 2*a.opt.rto)
+	if v := a.Metrics().Counter("wire.tx.peer_faults").Value(); v != 1 {
+		t.Errorf("%v peer faults, want exactly 1", v)
+	}
+	if v := a.Metrics().Counter("wire.tx.retransmits").Value(); v != retx {
+		t.Errorf("%v retransmits after the heal", v-retx)
+	}
+	if v := b.Metrics().Counter("wire.rx.delivered").Value(); v != 110 {
+		t.Errorf("delivered %v messages, want 110", v)
 	}
 }

@@ -42,9 +42,10 @@ type Stats struct {
 	LanesDown int   `json:"lanes_down"`
 
 	// Errors folds every tx drop (no route, encode, write, overflow,
-	// oversize) and rx error (read, decode, dropped-while-down,
-	// no-handler, fragment mismatch/timeout) into one attention signal;
-	// the per-cause counters stay in the registry for /metrics.
+	// oversize) and rx error (read, decode, out-of-window,
+	// dropped-while-down, no-handler, fragment mismatch/timeout) into one
+	// attention signal; the per-cause counters stay in the registry for
+	// /metrics.
 	Errors int64 `json:"errors"`
 
 	Planes []PlaneStats `json:"planes"`
@@ -74,7 +75,7 @@ func (t *Transport) Stats() Stats {
 	for _, name := range []string{
 		"wire.tx.drop.noroute", "wire.tx.drop.encode", "wire.tx.drop.write",
 		"wire.tx.drop.overflow", "wire.tx.drop.oversize",
-		"wire.rx.read_errors", "wire.rx.decode_errors", "wire.rx.dropped",
+		"wire.rx.read_errors", "wire.rx.decode_errors", "wire.rx.out_of_window", "wire.rx.dropped",
 		"wire.rx.no_handler", "wire.rx.frag_mismatch", "wire.rx.frag_timeouts",
 	} {
 		s.Errors += c(name)

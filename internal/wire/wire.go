@@ -6,13 +6,14 @@
 // plane-k socket.
 //
 // Unlike raw UDP, the transport delivers: a reliability layer between the
-// kernel and the sockets (frame format v3) sequences every message,
-// retransmits with exponential backoff inside a bounded per-peer window,
-// suppresses duplicates on receive, and fragments bodies larger than the
-// MTU — the paper's kernel assumes its channels deliver (heartbeat
-// analysis, diagnosis probing and federation queries all sit on top of
-// messaging), and the Microsoft Cluster Service regroup protocol makes the
-// same requirement explicit. Peers that exhaust the retransmission budget
+// kernel and the sockets (frame format v4, one frame per datagram)
+// sequences every message, acks cumulatively with selective bits,
+// retransmits with exponential backoff inside a bounded per-peer window
+// clocked by those acks, suppresses duplicates on receive, and fragments
+// bodies larger than the MTU — the paper's kernel assumes its channels
+// deliver (heartbeat analysis, diagnosis probing and federation queries
+// all sit on top of messaging), and the Microsoft Cluster Service regroup
+// protocol makes the same requirement explicit. Peers that exhaust the retransmission budget
 // surface as transport-level faults through WithPeerFaultHandler.
 //
 // The package deliberately mirrors internal/simnet's surface — Register /
@@ -49,12 +50,9 @@ type Transport struct {
 
 	conns []*net.UDPConn
 	wg    sync.WaitGroup
-
-	// flushPooling gates sync.Pool reuse of assembled datagrams: off when
-	// the user disabled pooling, and off when an outbound filter is
-	// installed, since a filter may hold a datagram and replay it from
-	// another goroutine after the write call returned.
-	flushPooling bool
+	// planeCtr holds each plane's traffic counters, resolved once in New:
+	// they are bumped on every datagram.
+	planeCtr []planeCounters
 
 	mu       sync.Mutex
 	book     *Book
@@ -62,9 +60,10 @@ type Transport struct {
 	up       bool
 	closed   bool
 
-	relMu sync.Mutex
-	tx    map[peerKey]*txState
-	rx    map[peerKey]*rxState
+	relMu  sync.Mutex
+	tx     map[peerKey]*txState
+	rx     map[peerKey]*rxState
+	ackBuf []byte // standalone acks are assembled here under relMu
 
 	healthMu sync.Mutex
 	health   map[peerKey]*laneHealth
@@ -105,12 +104,14 @@ func New(node types.NodeID, book *Book, opts ...Option) (*Transport, error) {
 
 	t := &Transport{
 		node: node, loop: o.loop, reg: o.reg, clk: clock.Real{}, opt: o,
-		flushPooling: o.pool && o.filter == nil,
-		handlers:     make(map[types.Addr]func(types.Message)),
-		up:           true,
-		tx:           make(map[peerKey]*txState),
-		rx:           make(map[peerKey]*rxState),
-		health:       make(map[peerKey]*laneHealth),
+		handlers: make(map[types.Addr]func(types.Message)),
+		up:       true,
+		tx:       make(map[peerKey]*txState),
+		rx:       make(map[peerKey]*rxState),
+		health:   make(map[peerKey]*laneHealth),
+	}
+	for p := range laddrs {
+		t.planeCtr = append(t.planeCtr, newPlaneCounters(o.reg, p))
 	}
 	for p, laddr := range laddrs {
 		conn, err := net.ListenUDP("udp", laddr)
@@ -255,16 +256,16 @@ func (t *Transport) Send(msg types.Message) error {
 	msg.Sent = t.clk.Now()
 	// The body buffer is pooled: sendReliable copies it into per-frame
 	// buffers before returning, so it never outlives this call.
-	bw := t.getFlush()
+	bw := getBuf()
 	body, err := codec.AppendMessage(bw.b[:0], msg)
 	if err != nil {
-		t.putFlush(bw)
+		putBuf(bw)
 		t.reg.Counter("wire.tx.drop.encode").Inc()
 		return err
 	}
 	bw.b = body
 	err = t.sendReliable(msg.To.Node, plane, ep, body, msg.Type)
-	t.putFlush(bw)
+	putBuf(bw)
 	if err != nil {
 		return err
 	}
@@ -274,13 +275,33 @@ func (t *Transport) Send(msg types.Message) error {
 }
 
 // transmit puts one datagram on the wire, routing it through the outbound
-// filter when one is installed.
+// filter when one is installed. data may be a pooled buffer the caller
+// reuses once transmit returns, so the filter — which may hold a datagram
+// and send it later from another goroutine — gets an unpooled copy.
 func (t *Transport) transmit(peer types.NodeID, plane int, ep *net.UDPAddr, data []byte) {
-	if t.opt.filter != nil {
-		t.opt.filter(peer, plane, data, func() { t.rawWrite(plane, ep, data) })
+	if f := t.opt.filter; f != nil {
+		data = append([]byte(nil), data...)
+		f(peer, plane, data, func() { t.rawWrite(plane, ep, data) })
 		return
 	}
 	t.rawWrite(plane, ep, data)
+}
+
+// planeCounters are one plane's traffic counters and the transport-wide
+// totals they feed.
+type planeCounters struct {
+	txDatagrams, txBytes, rxDatagrams, rxBytes             *metrics.Counter
+	txDatagramsAll, txBytesAll, rxDatagramsAll, rxBytesAll *metrics.Counter
+}
+
+func newPlaneCounters(reg *metrics.Registry, plane int) planeCounters {
+	c := func(format string) *metrics.Counter { return reg.Counter(fmt.Sprintf(format, plane)) }
+	return planeCounters{
+		txDatagrams: c("wire.tx.datagrams.plane%d"), txBytes: c("wire.tx.bytes.plane%d"),
+		rxDatagrams: c("wire.rx.datagrams.plane%d"), rxBytes: c("wire.rx.bytes.plane%d"),
+		txDatagramsAll: reg.Counter("wire.tx.datagrams"), txBytesAll: reg.Counter("wire.tx.bytes"),
+		rxDatagramsAll: reg.Counter("wire.rx.datagrams"), rxBytesAll: reg.Counter("wire.rx.bytes"),
+	}
 }
 
 // rawWrite is the socket write plus traffic accounting. Safe after Close
@@ -290,23 +311,22 @@ func (t *Transport) rawWrite(plane int, ep *net.UDPAddr, data []byte) {
 		t.reg.Counter("wire.tx.drop.write").Inc()
 		return
 	}
-	t.reg.Counter("wire.tx.datagrams").Inc()
-	t.reg.Counter("wire.tx.bytes").Add(float64(len(data)))
-	t.reg.Counter(fmt.Sprintf("wire.tx.datagrams.plane%d", plane)).Inc()
-	t.reg.Counter(fmt.Sprintf("wire.tx.bytes.plane%d", plane)).Add(float64(len(data)))
+	c := &t.planeCtr[plane]
+	c.txDatagramsAll.Inc()
+	c.txBytesAll.Add(float64(len(data)))
+	c.txDatagrams.Inc()
+	c.txBytes.Add(float64(len(data)))
 }
 
 // readLoop drains one plane's socket until the transport closes. Frame
 // parsing, the reliability state machine and body decoding all run on
 // this goroutine (CPU-bound, loop-free); completed messages are
 // dispatched inside the loop, mirroring the delivery discipline of the
-// simulator. A datagram may carry several frames (the sender's batching
-// layer); it is validated as a whole — one malformed frame rejects the
-// entire datagram — before any frame is acted on.
+// simulator. Every datagram holds exactly one frame.
 func (t *Transport) readLoop(plane int, conn *net.UDPConn) {
 	defer t.wg.Done()
 	buf := make([]byte, maxFrameSize+1)
-	frames := make([]frame, 0, 8)
+	c := &t.planeCtr[plane]
 	for {
 		n, _, err := conn.ReadFromUDP(buf)
 		if err != nil {
@@ -319,48 +339,28 @@ func (t *Transport) readLoop(plane int, conn *net.UDPConn) {
 			t.reg.Counter("wire.rx.read_errors").Inc()
 			continue
 		}
-		t.reg.Counter("wire.rx.datagrams").Inc()
-		t.reg.Counter("wire.rx.bytes").Add(float64(n))
-		t.reg.Counter(fmt.Sprintf("wire.rx.datagrams.plane%d", plane)).Inc()
-		t.reg.Counter(fmt.Sprintf("wire.rx.bytes.plane%d", plane)).Add(float64(n))
-		frames = frames[:0]
-		valid := true
-		for off := 0; off < n; {
-			f, next, err := parseFrameAt(buf[:n], off)
-			if err != nil {
-				valid = false
-				break
-			}
-			frames = append(frames, f)
-			off = next
-		}
-		if !valid || len(frames) == 0 {
+		c.rxDatagramsAll.Inc()
+		c.rxBytesAll.Add(float64(n))
+		c.rxDatagrams.Inc()
+		c.rxBytes.Add(float64(n))
+		f, err := parseFrame(buf[:n])
+		if err != nil {
 			t.reg.Counter("wire.rx.decode_errors").Inc()
 			continue
-		}
-		if len(frames) > 1 {
-			t.reg.Counter("wire.rx.batched_frames").Add(float64(len(frames) - 1))
 		}
 		if fi := t.opt.inFilter; fi != nil {
 			// The filter may hold the datagram past this iteration
 			// (delay/duplicate), and buf is reused — hand it a copy and
-			// re-parse on delivery so the payloads alias the copy.
+			// re-parse on delivery so the payload aliases the copy.
 			data := append([]byte(nil), buf[:n]...)
-			fi(frames[0].src, plane, data, func() {
-				for off := 0; off < len(data); {
-					f, next, err := parseFrameAt(data, off)
-					if err != nil {
-						return
-					}
-					t.receive(plane, f)
-					off = next
+			fi(f.src, plane, data, func() {
+				if g, err := parseFrame(data); err == nil {
+					t.receive(plane, g)
 				}
 			})
 			continue
 		}
-		for _, f := range frames {
-			t.receive(plane, f)
-		}
+		t.receive(plane, f)
 	}
 }
 

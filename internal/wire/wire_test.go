@@ -205,8 +205,8 @@ func TestNewValidatesOptions(t *testing.T) {
 	if _, err := New(0, nil, WithPlanes(1), WithRetransmit(0, 3)); err == nil {
 		t.Error("zero RTO accepted")
 	}
-	if _, err := New(0, nil, WithPlanes(1), WithAckDelay(time.Second)); err == nil {
-		t.Error("ack delay above RTO accepted")
+	if _, err := New(0, nil, WithPlanes(1), WithWindow(maxWindow+1)); err == nil {
+		t.Error("window above the maximum accepted")
 	}
 	book, err := LoopbackBook(1, 1, 19700)
 	if err != nil {
